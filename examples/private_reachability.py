@@ -22,7 +22,7 @@ from repro import (
     DistributedGraph,
     FixedPointFormat,
     PlaintextEngine,
-    SecureEngine,
+    StressTest,
     VertexProgram,
     VertexView,
 )
@@ -115,11 +115,18 @@ def main() -> None:
         output_epsilon=0.8,
         seed=11,
     )
-    result = SecureEngine(program, config).run(graph, iterations=hops)
-    print(f"released (DP) count:  {result.noisy_output:.2f}")
+    result = (
+        StressTest()
+        .graph(graph)
+        .program(program)
+        .engine("secure")
+        .configure(config)
+        .run(iterations=hops)
+    )
+    print(f"released (DP) count:  {result.aggregate:.2f}")
     print(
-        f"protocol work: {result.gmw_ot_count:,} OTs, "
-        f"{result.transfer_count} edge transfers, "
+        f"protocol work: {result.raw.gmw_ot_count:,} OTs, "
+        f"{result.raw.transfer_count} edge transfers, "
         f"{result.traffic.total_bytes_sent / 1e6:.2f} MB total"
     )
 

@@ -8,7 +8,7 @@ each vertex as an asyncio task over a :class:`~repro.core.transport.Transport`:
 a vertex computes its next round as soon as *its own* inbox completes,
 while slow links' deliveries are still in flight elsewhere. The schedule
 itself lives in :func:`repro.core.rounds.run_rounds_async`, shared with
-the sequential :func:`~repro.core.rounds.run_rounds` skeleton.
+the sequential :class:`~repro.core.rounds.RoundLoop` skeleton.
 
 Engine options (all reachable through the registry and batch scenarios)::
 

@@ -7,7 +7,7 @@ previously-disjoint entry points:
 =============  ==========================================================
 ``plaintext``  :meth:`PlaintextEngine.run_float` — the float oracle
 ``fixed``      :meth:`PlaintextEngine.run_fixed` — clear circuit eval
-``secure``     :meth:`SecureEngine.run` — the full DStress protocol
+``secure``     :class:`SecureEngine` — the full DStress protocol
 ``naive-mpc``  the §5.5 monolithic-MPC baseline (computes the same
                function centrally, projects the monolithic GMW cost)
 ``sharded``    float mode partitioned across worker processes within one
@@ -55,7 +55,7 @@ from repro.core.lifecycle import (
     run_lifecycle,
 )
 from repro.core.program import VertexProgram
-from repro.core.secure_engine import SecureEngine
+from repro.core.secure_engine import SecureEngine, check_secure_options
 from repro.crypto.rng import DeterministicRNG
 from repro.exceptions import ConfigurationError
 from repro.obs.clock import now as clock_now
@@ -344,12 +344,10 @@ class _SecureCore(LifecycleCore):
     """The full protocol's stages, driving :class:`SecureEngine` windows.
 
     The two classes are designed together: the core walks the engine's
-    window/aggregation internals (``_begin_run``/``_window_sync``/
-    ``_aggregation_tree``/``_noise_and_reveal``) so the lifecycle path
-    performs the crypto in exactly the transcript order of the historical
-    :meth:`SecureEngine.run`. The async variant in
-    :mod:`repro.api.secure_async` overrides :meth:`run_window` to dispatch
-    each window's batches over a transport bus.
+    internals (``_begin_run``/``_schedule``/``_aggregation_tree``/
+    ``_noise_and_reveal``) in the transcript order. This core drains each
+    window's schedule; the async variant in :mod:`repro.api.secure_async`
+    overrides :meth:`run_window` to dispatch its batches over a bus.
     """
 
     def __init__(self, engine, program, graph, config) -> None:
@@ -368,11 +366,12 @@ class _SecureCore(LifecycleCore):
 
     def setup(self, state: RunState) -> None:
         self.ctx = self.inner._begin_run(
-            self.graph, sum(state.windows), None, None, phases=state.phases
+            self.graph, sum(state.windows), self.engine.bucket_bounds, state.phases
         )
 
     def run_window(self, state: RunState, rounds: int, first: bool) -> None:
-        self.inner._window_sync(self.ctx, rounds, first)
+        for _ in self.inner._schedule(self.ctx, rounds, first):
+            pass
         state.trajectory = list(self.ctx.trajectory)
 
     def aggregate(self, state: RunState) -> float:
@@ -424,6 +423,14 @@ class SecureDStressEngine(Engine):
     lane evaluator with its offline/online phase split
     (:mod:`repro.mpc.bitslice`); released outputs and metered traffic are
     bit-identical to the default ``"scalar"`` backend.
+
+    ``bucket_bounds`` enables the §3.7 degree-bucket optimization:
+    instead of padding every vertex's circuit to the global degree bound
+    D, each vertex uses the smallest bucket that fits its degree (e.g.
+    ``[10, 100]``). This reveals each vertex's bucket — roughly its size
+    class, which the paper notes is acceptable — in exchange for much
+    cheaper MPC steps at low-degree vertices. The computed value is
+    unchanged; the cost, and hence the noise draw order, is not.
     """
 
     name = "secure"
@@ -432,15 +439,12 @@ class SecureDStressEngine(Engine):
     def __init__(
         self,
         backend: str = "scalar",
+        bucket_bounds: Optional[Sequence[int]] = None,
         release: Union[str, ReleasePolicy] = "oneshot",
         windows: Optional[Sequence[int]] = None,
         window_epsilon: Optional[float] = None,
     ) -> None:
-        if backend not in ("scalar", "bitsliced"):
-            raise ConfigurationError(
-                f"engine 'secure' has no backend {backend!r}; "
-                "choose 'scalar' or 'bitsliced'"
-            )
+        self.bucket_bounds = check_secure_options(self.name, backend, bucket_bounds)
         self.backend = backend
         self._configure_release(release, windows, window_epsilon)
 

@@ -4,8 +4,8 @@ The paper's §6 wall-clock numbers are dominated by transfer I/O — a
 secure round's cost is the wire time of its OT-extension batches and §3.5
 transfer aggregates, not the local crypto. The sequential
 ``engine="secure"`` backend computes everything in a straight line, so it
-cannot model that claim. This backend runs the *same* protocol
-(:meth:`repro.core.secure_engine.SecureEngine.run_async`) with every
+cannot model that claim. This backend runs the *same* protocol schedule
+(:meth:`repro.core.secure_engine.SecureEngine._schedule`) with every
 block batch dispatched through a
 :class:`~repro.core.transport.Transport`: as soon as a block's GMW
 evaluation finishes, its per-link OT bytes go on the bus as an asyncio
@@ -22,6 +22,7 @@ Engine options (all reachable through the registry and batch scenarios)::
                                                # baseline (benchmark foil)
     .engine("secure-async", backend="bitsliced")  # numpy lane GMW with
                                                # offline/online split
+    .engine("secure-async", bucket_bounds=[1, 3])  # §3.7 degree buckets
 
 Determinism contract: released outputs are **bit-identical** to
 ``engine="secure"`` under the same seeds — every
@@ -41,7 +42,7 @@ barrier, so no delivery ever spans one) on the bus opened once at setup.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Generator, Optional, Sequence, Union
 
 from repro.api.async_engine import run_coroutine
 from repro.api.engines import _SecureCore, Engine, validate_intra_run_width
@@ -49,6 +50,7 @@ from repro.api.registry import register_engine
 from repro.api.result import RunResult
 from repro.core.lifecycle import ReleasePolicy, RunState, run_lifecycle
 from repro.core.rounds import SecureRoundScheduler
+from repro.core.secure_engine import ScheduleItem, check_secure_options
 from repro.core.transport import (
     Transport,
     attach_wire_extras,
@@ -56,9 +58,28 @@ from repro.core.transport import (
     transport_from_spec,
     wan_meter_snapshot,
 )
-from repro.exceptions import ConfigurationError
 
 __all__ = ["SecureAsyncEngine"]
+
+
+async def _dispatch_schedule(
+    schedule: Generator[ScheduleItem, None, None], scheduler: SecureRoundScheduler
+) -> None:
+    """Put every batch of ``schedule`` on the bus, barriering each step."""
+    try:
+        for step, kind, batch in schedule:
+            if batch is None:
+                await scheduler.barrier()
+            else:
+                await scheduler.dispatch(batch, step, kind=kind)
+    except BaseException:
+        # close the schedule now, so its round spans and phase timers end
+        # at the fault rather than at garbage collection; then consume the
+        # in-flight deliveries, whose sibling faults would otherwise be
+        # logged as never retrieved over the real traceback
+        schedule.close()
+        await scheduler.drain()
+        raise
 
 
 class _SecureAsyncCore(_SecureCore):
@@ -87,7 +108,8 @@ class _SecureAsyncCore(_SecureCore):
         scheduler = SecureRoundScheduler(
             self.bus, max_tasks=self.engine.tasks, overlap=self.engine.overlap
         )
-        run_coroutine(self.inner._window_async(self.ctx, scheduler, rounds, first))
+        schedule = self.inner._schedule(self.ctx, rounds, first)
+        run_coroutine(_dispatch_schedule(schedule, scheduler))
         state.trajectory = list(self.ctx.trajectory)
 
     def finalize(self, state: RunState, started: float) -> RunResult:
@@ -122,7 +144,8 @@ class SecureAsyncEngine(Engine):
     :class:`~repro.core.transport.Transport` instance); ``overlap=False``
     awaits every link delivery one at a time — the honest sequential
     baseline ``benchmarks/bench_secure_async.py`` measures the overlap
-    against.
+    against. ``backend`` and ``bucket_bounds`` mean what they mean on
+    :class:`~repro.api.engines.SecureDStressEngine`.
     """
 
     name = "secure-async"
@@ -134,15 +157,12 @@ class SecureAsyncEngine(Engine):
         transport: Union[str, Transport] = "memory",
         overlap: bool = True,
         backend: str = "scalar",
+        bucket_bounds: Optional[Sequence[int]] = None,
         release: Union[str, ReleasePolicy] = "oneshot",
         windows: Optional[Sequence[int]] = None,
         window_epsilon: Optional[float] = None,
     ) -> None:
-        if backend not in ("scalar", "bitsliced"):
-            raise ConfigurationError(
-                f"engine 'secure-async' has no backend {backend!r}; "
-                "choose 'scalar' or 'bitsliced'"
-            )
+        self.bucket_bounds = check_secure_options(self.name, backend, bucket_bounds)
         self.tasks = validate_intra_run_width(tasks, self.name)
         self.transport = check_transport_spec(transport)
         self.overlap = bool(overlap)

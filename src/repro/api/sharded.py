@@ -6,7 +6,7 @@ distribution mechanism: the graph's vertices are partitioned into
 contiguous shards, each round's vertex programs run shard-locally in a
 worker process, and boundary ("ghost") messages are exchanged between
 shards at the round barrier — the §3.6 schedule driven by the shared
-:func:`~repro.core.rounds.run_rounds` scheduler, with the superstep fanned
+:class:`~repro.core.rounds.RoundLoop` scheduler, with the superstep fanned
 across a :mod:`repro.api.pool` pool.
 
 Determinism argument (asserted bit-for-bit by the parity tests):
@@ -31,7 +31,7 @@ unchanged, so sharded scenarios compose with ``run_many`` transparently.
 
 Like every backend the engine executes through the shared run lifecycle;
 under ``release="windowed"`` each window spins up its own worker pool and
-the round loop resumes via the :func:`~repro.core.rounds.run_rounds`
+the round loop resumes via the :class:`~repro.core.rounds.RoundLoop`
 resumption contract, so the windowed trajectory stays bit-identical to
 the one-shot run of the same total length.
 """

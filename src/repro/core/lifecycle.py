@@ -25,7 +25,7 @@ The :class:`RunState` threading through the stages is resumable: the
 round loop's pending outboxes (or the secure engine's share context)
 live in the core between windows, so window ``j + 1`` continues the §3.6
 schedule exactly where window ``j`` stopped. The resumption contract is
-stated (and property-tested) on :func:`~repro.core.rounds.run_rounds`:
+stated (and property-tested) on :meth:`~repro.core.rounds.RoundLoop.advance`:
 a windowed run's pre-noise trajectory is bit-identical to the one-shot
 run of the same total length.
 

@@ -20,7 +20,7 @@ skeleton so backends only supply the three varying pieces:
 * ``observe`` — record the designated aggregate after each round (the
   convergence trajectory).
 
-Determinism contract: :func:`run_rounds` calls ``superstep`` exactly
+Determinism contract: :meth:`RoundLoop.advance` calls ``superstep`` exactly
 ``iterations + 1`` times with identical inputs regardless of who computes
 the superstep, so two backends whose supersteps are pointwise equal
 produce bit-identical trajectories and final states.
@@ -31,7 +31,7 @@ where a vertex starts its round ``r + 1`` computation as soon as *its own*
 round-``r`` inbox is complete — overlapping computation of ready vertices
 with in-flight deliveries of slow ones — while trajectories and final
 states are still assembled in sorted-vertex order, so the result is
-bit-identical to :func:`run_rounds` for pointwise-equal updates.
+bit-identical to :class:`RoundLoop` for pointwise-equal updates.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from repro.obs.trace import current_recorder, timed_phase
 from repro.simulation.netsim import PhaseTimer
 
 __all__ = [
-    "run_rounds",
     "run_rounds_async",
     "route_messages",
     "sequential_superstep",
@@ -66,74 +65,6 @@ M = TypeVar("M")
 
 #: states, inboxes -> new states, outboxes (all keyed by vertex id).
 Superstep = Callable[[Dict[int, S], Dict[int, List[M]]], Tuple[Dict[int, S], Dict[int, List[M]]]]
-
-
-def run_rounds(
-    superstep: Superstep,
-    route: Callable[[Dict[int, List[M]]], Dict[int, List[M]]],
-    observe: Callable[[Dict[int, S]], float],
-    states: Dict[int, S],
-    inboxes: Dict[int, List[M]],
-    iterations: int,
-    phases: Optional[PhaseTimer] = None,
-    *,
-    first_round: int = 0,
-    resume_outboxes: Optional[Dict[int, List[M]]] = None,
-) -> Tuple[Dict[int, S], List[float], Dict[int, List[M]]]:
-    """Drive the §3.6 schedule; return (final states, trajectory, outboxes).
-
-    ``iterations`` computation+communication rounds, then one final
-    computation step — exactly the shape both plaintext modes always had,
-    now shared by every backend. The final step's outgoing messages are
-    returned (not routed): a one-shot run discards them, a windowed run
-    hands them back as ``resume_outboxes`` to continue the very same
-    schedule across release windows.
-
-    Resumption contract: calling once with ``iterations=a+b`` is
-    step-for-step identical to calling with ``iterations=a``, then again
-    with ``iterations=b``, ``resume_outboxes=`` the first call's returned
-    outboxes and ``first_round=a+1``. The resumed call first routes the
-    pending outboxes (the communication half of computation step ``a``,
-    spanned as round ``first_round - 1``), then runs ``b - 1`` full
-    rounds and the final computation step — so supersteps see the same
-    inputs in the same order and the trajectory/final states concatenate
-    bit-identically.
-
-    ``phases`` (optional) accumulates per-phase wall-clock through the
-    shared :func:`~repro.obs.trace.timed_phase` path — the same recorder
-    code path every engine uses, so ``RunResult.phases`` means the same
-    thing everywhere. Telemetry reads only the injectable clock: it never
-    touches the RNG or reorders work, so traced runs stay bit-identical.
-    """
-    if iterations < 0:
-        raise ConfigurationError("iteration count cannot be negative")
-    recorder = current_recorder()
-    trajectory: List[float] = []
-    round_index = first_round
-    if resume_outboxes is not None:
-        if iterations < 1:
-            raise ConfigurationError(
-                "a resumed window needs at least one computation step"
-            )
-        with recorder.span("round", round=round_index - 1):
-            with timed_phase(phases, "communication"):
-                inboxes = route(resume_outboxes)
-        remaining = iterations - 1
-    else:
-        remaining = iterations
-    for _ in range(remaining):
-        with recorder.span("round", round=round_index):
-            with timed_phase(phases, "computation"):
-                states, outboxes = superstep(states, inboxes)
-            with timed_phase(phases, "communication"):
-                inboxes = route(outboxes)
-        trajectory.append(observe(states))
-        round_index += 1
-    with recorder.span("round", round=round_index):
-        with timed_phase(phases, "computation"):
-            states, final_outboxes = superstep(states, inboxes)
-    trajectory.append(observe(states))
-    return states, trajectory, final_outboxes
 
 
 def route_messages(
@@ -184,7 +115,7 @@ def sequential_superstep(
 
 
 class RoundLoop:
-    """A resumable handle over :func:`run_rounds`.
+    """The sequential §3.6 schedule, resumable across release windows.
 
     Owns the (states, inboxes, pending outboxes) triple between windows so
     a release policy can interleave aggregate/noise/release stages with
@@ -193,6 +124,12 @@ class RoundLoop:
     trajectory entries; span numbering continues exactly where the
     previous window stopped, so a windowed run's trace is the one-shot
     trace with extra release stages in between.
+
+    ``phases`` (optional) accumulates per-phase wall-clock through the
+    shared :func:`~repro.obs.trace.timed_phase` path — the same recorder
+    code path every engine uses, so ``RunResult.phases`` means the same
+    thing everywhere. Telemetry reads only the injectable clock: it never
+    touches the RNG or reorders work, so traced runs stay bit-identical.
     """
 
     def __init__(
@@ -215,29 +152,46 @@ class RoundLoop:
         self.trajectory: List[float] = []
 
     def advance(self, rounds: int) -> List[float]:
-        """Run ``rounds`` more computation steps; return their trajectory."""
-        if self.pending is None:
-            self.states, trajectory, self.pending = run_rounds(
-                self.superstep,
-                self.route,
-                self.observe,
-                self.states,
-                self.inboxes,
-                rounds,
-                phases=self.phases,
-            )
-        else:
-            self.states, trajectory, self.pending = run_rounds(
-                self.superstep,
-                self.route,
-                self.observe,
-                self.states,
-                self.inboxes,
-                rounds,
-                phases=self.phases,
-                first_round=self.steps + 1,
-                resume_outboxes=self.pending,
-            )
+        """Run ``rounds`` more computation steps; return their trajectory.
+
+        The first call runs ``rounds`` computation+communication rounds,
+        then one final computation step, whose outgoing messages stay
+        pending (a one-shot run discards them). A later call first routes
+        those pending outboxes — the communication half of the previous
+        final step, spanned as that step's round — then runs ``rounds - 1``
+        full rounds and a final computation step. So ``advance(a)`` then
+        ``advance(b)`` is step-for-step identical to ``advance(a + b)``:
+        supersteps see the same inputs in the same order, and trajectories
+        and final states concatenate bit-identically.
+        """
+        if rounds < 0:
+            raise ConfigurationError("iteration count cannot be negative")
+        recorder = current_recorder()
+        phases = self.phases
+        round_index = self.steps + 1 if self.pending is not None else 0
+        trajectory: List[float] = []
+        remaining = rounds
+        if self.pending is not None:
+            if rounds < 1:
+                raise ConfigurationError(
+                    "a resumed window needs at least one computation step"
+                )
+            with recorder.span("round", round=round_index - 1):
+                with timed_phase(phases, "communication"):
+                    self.inboxes = self.route(self.pending)
+            remaining -= 1
+        for _ in range(remaining):
+            with recorder.span("round", round=round_index):
+                with timed_phase(phases, "computation"):
+                    self.states, outboxes = self.superstep(self.states, self.inboxes)
+                with timed_phase(phases, "communication"):
+                    self.inboxes = self.route(outboxes)
+            trajectory.append(self.observe(self.states))
+            round_index += 1
+        with recorder.span("round", round=round_index):
+            with timed_phase(phases, "computation"):
+                self.states, self.pending = self.superstep(self.states, self.inboxes)
+        trajectory.append(self.observe(self.states))
         self.steps += rounds
         self.trajectory.extend(trajectory)
         return trajectory
@@ -261,7 +215,7 @@ async def run_rounds_async(
     """The §3.6 schedule as per-vertex pipelines over a transport.
 
     Returns ``(final_states, trajectory, final_outboxes)`` with the same
-    resumption contract as :func:`run_rounds`: pass the previous window's
+    resumption contract as :meth:`RoundLoop.advance`: pass the previous window's
     ``final_outboxes`` back as ``resume_outboxes`` (with ``first_round``
     set to the steps already taken plus one) to continue the schedule
     across release windows. The pending outboxes are routed synchronously
@@ -295,7 +249,7 @@ async def run_rounds_async(
     only if it holds exactly the deliveries ``route_messages`` would have
     produced (transports never alter payloads or slots), so every
     ``update`` call sees the same ``(state, inbox)`` it sees under
-    :func:`run_rounds`; per-round states are recorded per vertex and
+    :class:`RoundLoop`; per-round states are recorded per vertex and
     re-assembled in sorted-vertex order before ``observe`` runs, so float
     summation order matches the sequential engines exactly.
     """

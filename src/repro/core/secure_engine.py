@@ -22,24 +22,24 @@ All network traffic is metered per node *and per directed link*; timings
 are recorded per phase. The engine is a faithful simulation: every byte it
 reports corresponds to a protocol message of the real deployment.
 
-Two drivers share the protocol code. :meth:`SecureEngine.run` is the
-historical sequential driver. :meth:`SecureEngine.run_async` walks the
-*same* crypto operations in the *same* order (every
-:meth:`~repro.crypto.rng.DeterministicRNG.fork` consumes parent stream, so
-the order of crypto work is the transcript — reordering it would change
-every share), but hands each finished block batch — a GMW evaluation's
-OT-extension bits, a transfer's aggregates — to a
-:class:`~repro.core.rounds.SecureRoundScheduler` that conveys the bytes
-over a :class:`~repro.core.transport.Transport` while later blocks are
-still computing. Released outputs are bit-identical between the two
-drivers by construction; only wall-clock and the bus's own metering move.
+The §3.6 schedule is written once, as :meth:`SecureEngine._schedule`: a
+generator over one window's block batches (a GMW evaluation's
+OT-extension bits, a transfer's aggregates) with a barrier marker at the
+end of every step. The ``secure`` engine drains it; ``secure-async``
+hands each batch to a :class:`~repro.core.rounds.SecureRoundScheduler`
+that conveys the bytes over a :class:`~repro.core.transport.Transport`
+while later blocks are still computing. Every
+:meth:`~repro.crypto.rng.DeterministicRNG.fork` consumes parent stream,
+so the order of crypto work is the transcript; both consumers walk the
+same generator, so their released outputs are bit-identical by
+construction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Generator, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.aggregation import AggregationPlan, plan_groups, reshare_word
 from repro.core.config import DStressConfig
@@ -47,9 +47,7 @@ from repro.core.convergence import TrajectoryConvergence
 from repro.core.graph import DistributedGraph
 from repro.core.node import SimulatedNode
 from repro.core.program import NO_OP_MESSAGE, VertexProgram
-from repro.core.rounds import SecureRoundScheduler
 from repro.core.setup import AGGREGATION_BLOCK_ID, BlockAssignment, TrustedParty
-from repro.core.transport import Transport
 from repro.crypto.elgamal import ExponentialElGamal
 from repro.crypto.ot import SimulatedObliviousTransfer
 from repro.crypto.rng import DeterministicRNG
@@ -62,17 +60,53 @@ from repro.mpc.noise_circuit import (
 )
 from repro.obs.metrics import absorb_gmw
 from repro.obs.trace import current_recorder, timed_phase
-from repro.privacy.budget import PrivacyAccountant
 from repro.privacy.edge_privacy import per_iteration_epsilon, transfer_sensitivity
 from repro.sharing.xor import reconstruct_value, share_value
 from repro.simulation.netsim import PhaseTimer, TrafficMeter
 from repro.transfer.protocol import MessageTransferProtocol
 
-__all__ = ["SecureRunResult", "SecureEngine"]
+__all__ = ["SecureRunResult", "SecureEngine", "check_secure_options"]
 
 #: Ordered directed link with a byte payload: the unit the transport
 #: conveys for the secure path.
 LinkBytes = Dict[Tuple[int, int], float]
+
+#: One item of :meth:`SecureEngine._schedule`: ``(step, kind, batch)``
+#: with ``kind`` ``"ot"`` or ``"transfer"``; ``batch is None`` marks the
+#: barrier that ends a §3.6 computation or communication step.
+ScheduleItem = Tuple[int, str, Optional[LinkBytes]]
+
+
+def check_secure_options(
+    engine: str, backend: str, bucket_bounds: Optional[Sequence[int]] = None
+) -> Optional[Tuple[int, ...]]:
+    """Validate the secure engines' shared options at construction.
+
+    Returns ``bucket_bounds`` as a sorted tuple of distinct bounds (or
+    ``None`` for the uniform degree bound). Whether the largest bucket
+    covers the graph's maximum degree is a property of the graph, so
+    :meth:`SecureEngine._assign_buckets` checks that at setup.
+    """
+    if backend not in ("scalar", "bitsliced"):
+        raise ConfigurationError(
+            f"engine {engine!r} has no backend {backend!r}; "
+            "choose 'scalar' or 'bitsliced'"
+        )
+    if bucket_bounds is None:
+        return None
+    if (
+        not isinstance(bucket_bounds, (list, tuple))
+        or not bucket_bounds
+        or any(
+            isinstance(b, bool) or not isinstance(b, int) or b < 1
+            for b in bucket_bounds
+        )
+    ):
+        raise ConfigurationError(
+            f"engine {engine!r} needs bucket_bounds as a non-empty list of "
+            f"positive ints, got {bucket_bounds!r}"
+        )
+    return tuple(sorted(set(bucket_bounds)))
 
 
 def _record_link(
@@ -121,12 +155,10 @@ class SecureRunResult(TrajectoryConvergence):
 
 @dataclass
 class _RunContext:
-    """Mutable state of one execution, shared by the two drivers.
+    """Mutable state of one execution.
 
-    Built once by :meth:`SecureEngine._begin_run`; the sync and async
-    drivers both walk the same context through the same step generators,
-    which is what makes their transcripts — and therefore their released
-    outputs — bit-identical.
+    Built once by :meth:`SecureEngine._begin_run` and advanced window by
+    window by :meth:`SecureEngine._schedule`, whichever consumer drains it.
     """
 
     graph: DistributedGraph
@@ -169,8 +201,7 @@ class SecureEngine:
         config: Optional[DStressConfig] = None,
         backend: str = "scalar",
     ) -> None:
-        if backend not in ("scalar", "bitsliced"):
-            raise ConfigurationError(f"unknown secure backend {backend!r}")
+        check_secure_options("secure", backend)
         self.backend = backend
         self.program = program
         self.config = config if config is not None else DStressConfig()
@@ -185,59 +216,18 @@ class SecureEngine:
             noise_alpha=self.config.edge_noise_alpha,
         )
 
-    # ------------------------------------------------------------------ run --
+    # ----------------------------------------------------------- schedule --
 
-    def run(
-        self,
-        graph: DistributedGraph,
-        iterations: int,
-        accountant: Optional[PrivacyAccountant] = None,
-        bucket_bounds: Optional[List[int]] = None,
-    ) -> SecureRunResult:
-        """Execute the program for ``iterations`` rounds (sequential driver).
-
-        ``bucket_bounds`` enables the §3.7 degree-bucket optimization:
-        instead of padding every vertex's circuit to the global degree
-        bound D, each vertex uses the smallest bucket that fits its
-        degree (e.g. ``[10, 100]``). This reveals each vertex's bucket —
-        roughly its size class, which the paper notes is acceptable — in
-        exchange for much cheaper MPC steps at low-degree vertices.
-        """
-        ctx = self._begin_run(graph, iterations, accountant, bucket_bounds)
-        self._window_sync(ctx, iterations, first=True)
-        return self._finish_run(ctx)
-
-    async def run_async(
-        self,
-        graph: DistributedGraph,
-        iterations: int,
-        transport: Transport,
-        accountant: Optional[PrivacyAccountant] = None,
-        bucket_bounds: Optional[List[int]] = None,
-        max_tasks: Optional[int] = None,
-        overlap: bool = True,
-    ) -> SecureRunResult:
-        """Execute the protocol with its rounds scheduled over ``transport``.
-
-        Identical crypto, identical order, identical released outputs to
-        :meth:`run` — the difference is that every block batch's bytes are
-        dispatched through the bus (overlapping OT computation of later
-        blocks with in-flight deliveries when ``overlap=True``), and a
-        faulted delivery raises a
-        :class:`~repro.exceptions.TransportError` at the step barrier
-        instead of silently sharing a dict. ``max_tasks`` bounds the
-        number of batch deliveries in flight.
-        """
-        transport.open(graph, fill=None)
-        scheduler = SecureRoundScheduler(transport, max_tasks=max_tasks, overlap=overlap)
-        ctx = self._begin_run(graph, iterations, accountant, bucket_bounds)
-        await self._window_async(ctx, scheduler, iterations, first=True)
-        return self._finish_run(ctx)
-
-    # ------------------------------------------------------------ windows --
-
-    def _window_sync(self, ctx: _RunContext, rounds: int, first: bool) -> None:
+    def _schedule(
+        self, ctx: _RunContext, rounds: int, first: bool
+    ) -> Generator[ScheduleItem, None, None]:
         """Advance the §3.6 schedule by ``rounds`` computation steps.
+
+        Yields ``(step, kind, batch)`` for every block batch in transcript
+        order, and ``(step, kind, None)`` at the end of every computation
+        or communication step. A consumer may drain it (``secure``) or put
+        each batch on a bus and await the step barrier at each marker
+        (``secure-async``); either way the crypto runs in the same order.
 
         A fresh window runs ``rounds`` full (computation + communication)
         steps plus the final computation step. A resumed window first runs
@@ -246,85 +236,37 @@ class SecureEngine:
         the transcript — is bit-identical to one uninterrupted run of the
         same total length. Round span numbering continues across windows.
         """
+        if not first and rounds < 1:
+            raise ConfigurationError(
+                "a resumed window needs at least one computation step"
+            )
         recorder = current_recorder()
-        graph = ctx.graph
         base = ctx.steps
         if not first:
-            if rounds < 1:
-                raise ConfigurationError(
-                    "a resumed window needs at least one computation step"
-                )
             with recorder.span("round", round=base - 1):
-                with timed_phase(ctx.phases, "communication"):
-                    for _batch in self._communication_transfers(ctx):
-                        pass
+                yield from self._step(ctx, base - 1, "transfer")
         full = rounds if first else rounds - 1
-        for index in range(full):
-            with recorder.span("round", round=base + index):
-                with timed_phase(ctx.phases, "computation"):
-                    for _batch in self._computation_blocks(ctx):
-                        pass
-                ctx.trajectory.append(
-                    self._simulated_aggregate(graph, ctx.state_shares)
-                )
-                with timed_phase(ctx.phases, "communication"):
-                    for _batch in self._communication_transfers(ctx):
-                        pass
+        for step in range(base, base + full):
+            with recorder.span("round", round=step):
+                yield from self._step(ctx, step, "ot")
+                ctx.trajectory.append(self._simulated_aggregate(ctx))
+                yield from self._step(ctx, step, "transfer")
         # Final computation step (§3.6).
         with recorder.span("round", round=base + full):
-            with timed_phase(ctx.phases, "computation"):
-                for _batch in self._computation_blocks(ctx):
-                    pass
-        ctx.trajectory.append(self._simulated_aggregate(graph, ctx.state_shares))
+            yield from self._step(ctx, base + full, "ot")
+        ctx.trajectory.append(self._simulated_aggregate(ctx))
         ctx.steps = base + full + 1
 
-    async def _window_async(
-        self, ctx: _RunContext, scheduler: SecureRoundScheduler, rounds: int, first: bool
-    ) -> None:
-        """:meth:`_window_sync` with batches dispatched over the bus."""
-        recorder = current_recorder()
-        graph = ctx.graph
-        base = ctx.steps
-        try:
-            if not first:
-                if rounds < 1:
-                    raise ConfigurationError(
-                        "a resumed window needs at least one computation step"
-                    )
-                with recorder.span("round", round=base - 1):
-                    with timed_phase(ctx.phases, "communication"):
-                        for batch in self._communication_transfers(ctx):
-                            await scheduler.dispatch(batch, base - 1, kind="transfer")
-                        await scheduler.barrier()
-            full = rounds if first else rounds - 1
-            for index in range(full):
-                step = base + index
-                with recorder.span("round", round=step):
-                    with timed_phase(ctx.phases, "computation"):
-                        for batch in self._computation_blocks(ctx):
-                            await scheduler.dispatch(batch, step, kind="ot")
-                        await scheduler.barrier()
-                    ctx.trajectory.append(
-                        self._simulated_aggregate(graph, ctx.state_shares)
-                    )
-                    with timed_phase(ctx.phases, "communication"):
-                        for batch in self._communication_transfers(ctx):
-                            await scheduler.dispatch(batch, step, kind="transfer")
-                        await scheduler.barrier()
-            # Final computation step (§3.6).
-            with recorder.span("round", round=base + full):
-                with timed_phase(ctx.phases, "computation"):
-                    for batch in self._computation_blocks(ctx):
-                        await scheduler.dispatch(batch, base + full, kind="ot")
-                    await scheduler.barrier()
-        except BaseException:
-            # unwinding past in-flight deliveries would leak their tasks
-            # (and log any sibling faults as never-retrieved); consume
-            # them before the real traceback propagates
-            await scheduler.drain()
-            raise
-        ctx.trajectory.append(self._simulated_aggregate(graph, ctx.state_shares))
-        ctx.steps = base + full + 1
+    def _step(self, ctx: _RunContext, step: int, kind: str) -> Iterator[ScheduleItem]:
+        """One §3.6 step's block batches, then its barrier marker."""
+        if kind == "ot":
+            phase, blocks = "computation", self._computation_blocks(ctx)
+        else:
+            phase, blocks = "communication", self._communication_transfers(ctx)
+        with timed_phase(ctx.phases, phase):
+            for batch in blocks:
+                yield step, kind, batch
+            yield step, kind, None
 
     # --------------------------------------------------------- run phases --
 
@@ -332,16 +274,14 @@ class SecureEngine:
         self,
         graph: DistributedGraph,
         iterations: int,
-        accountant: Optional[PrivacyAccountant],
-        bucket_bounds: Optional[List[int]],
-        phases: Optional[PhaseTimer] = None,
+        bucket_bounds: Optional[Sequence[int]],
+        phases: PhaseTimer,
     ) -> _RunContext:
         """Setup + initialization (§3.4, §3.6 init): everything before the
-        first computation step, identical for both drivers.
+        first computation step.
 
-        ``phases`` lets a lifecycle driver share one timer between its
-        stage timings and the engine's fine-grained phases; direct callers
-        get a fresh one.
+        ``phases`` is the lifecycle's timer, shared between its stage
+        timings and the engine's fine-grained phases.
         """
         config = self.config
         program = self.program
@@ -350,11 +290,7 @@ class SecureEngine:
         word_bytes = (bits + 7) / 8.0
         rng = DeterministicRNG(config.seed)
         meter = TrafficMeter()
-        phases = phases if phases is not None else PhaseTimer()
         vertex_bound = self._assign_buckets(graph, bucket_bounds)
-
-        if accountant is not None:
-            accountant.charge(config.output_epsilon, label=f"{program.name}-release")
 
         # ---------------------------------------------------------- setup --
         with timed_phase(phases, "setup"):
@@ -476,13 +412,6 @@ class SecureEngine:
                 self._meter_share_distribution(meter, v, assignment.blocks[v], word_bytes)
         return state_shares, inbox_shares
 
-    def _finish_run(self, ctx: _RunContext) -> SecureRunResult:
-        """Aggregation + noising + result assembly, identical for both
-        drivers (the aggregation tree is one final phase, not a round)."""
-        with timed_phase(ctx.phases, "aggregation"):
-            noisy_raw, pre_noise_raw, levels = self._aggregate_and_noise(ctx)
-        return self._assemble_result(ctx, noisy_raw, pre_noise_raw, levels)
-
     def _assemble_result(
         self, ctx: _RunContext, noisy_raw: int, pre_noise_raw: int, levels: int
     ) -> SecureRunResult:
@@ -516,7 +445,7 @@ class SecureEngine:
 
     # ------------------------------------------------------------ phases --
 
-    def _simulated_aggregate(self, graph: DistributedGraph, state_shares) -> float:
+    def _simulated_aggregate(self, ctx: _RunContext) -> float:
         """Reconstruct the pre-noise aggregate (simulation-only diagnostic).
 
         The harness — not any protocol participant — XORs the shares back
@@ -526,35 +455,34 @@ class SecureEngine:
         fmt = self.program.fmt
         register = self.program.aggregate_register
         raw = 0
-        for v in graph.vertex_ids:
+        for v in ctx.graph.vertex_ids:
             raw += fmt.from_unsigned(
-                reconstruct_value(state_shares[v][register], fmt.total_bits)
+                reconstruct_value(ctx.state_shares[v][register], fmt.total_bits)
             )
         return fmt.decode(raw)
 
     def _assign_buckets(
-        self, graph: DistributedGraph, bucket_bounds: Optional[List[int]]
+        self, graph: DistributedGraph, bucket_bounds: Optional[Sequence[int]]
     ) -> Dict[int, int]:
         """Map each vertex to its degree bound (§3.7 buckets).
 
         Without buckets every vertex pads to the global degree bound.
-        With buckets, each vertex gets the smallest bucket that holds its
-        actual degree; the largest bucket must cover the global bound so
-        any degree is placeable.
+        With buckets (sorted positive ints, validated by
+        :func:`check_secure_options`), each vertex gets the smallest
+        bucket that holds its actual degree; the largest bucket must cover
+        the graph's maximum degree so any degree is placeable.
         """
         if bucket_bounds is None:
             return {v: graph.degree_bound for v in graph.vertex_ids}
-        bounds = sorted(set(bucket_bounds))
-        if not bounds or bounds[-1] < graph.max_degree():
+        if bucket_bounds[-1] < graph.max_degree():
             raise ConfigurationError(
-                "largest bucket must cover the graph's maximum degree"
+                f"largest bucket {bucket_bounds[-1]} must cover the graph's "
+                f"maximum degree {graph.max_degree()}"
             )
-        if bounds[0] < 1:
-            raise ConfigurationError("bucket bounds must be positive")
         assignment = {}
         for view in graph.vertices():
             degree = max(view.in_degree, view.out_degree, 1)
-            assignment[view.vertex_id] = next(b for b in bounds if b >= degree)
+            assignment[view.vertex_id] = next(b for b in bucket_bounds if b >= degree)
         return assignment
 
     def _meter_share_distribution(
@@ -582,27 +510,10 @@ class SecureEngine:
         if self.backend == "bitsliced":
             yield from self._computation_blocks_bitsliced(ctx)
             return
-        gmw = ctx.gmw
-        meter = ctx.meter
-        for view in ctx.graph.vertices():
-            v = view.vertex_id
-            bound = ctx.vertex_bound[v]
-            registers = self.program.state_registers(bound)
-            shared_inputs = dict(ctx.state_shares[v])
-            for slot in range(bound):
-                shared_inputs[f"msg_in_{slot}"] = ctx.inbox_shares[v][slot]
-            result = gmw.evaluate(ctx.circuits[bound], shared_inputs, ctx.rng)
-            ctx.state_shares[v] = {reg: result.output_shares[reg] for reg in registers}
-            ctx.outbox_shares[v] = [
-                result.output_shares[f"msg_out_{slot}"] for slot in range(bound)
-            ]
-            members = ctx.assignment.blocks[v]
-            link_bytes = self._meter_gmw(meter, members, result)
-            per_member_ots = result.traffic.ot_count // max(1, len(members))
-            for member in members:
-                meter.node(member).ot_transfers += per_member_ots
-            ctx.total_ots += result.traffic.ot_count
-            yield link_bytes
+        for v in ctx.graph.vertex_ids:
+            circuit = ctx.circuits[ctx.vertex_bound[v]]
+            result = ctx.gmw.evaluate(circuit, self._block_inputs(ctx, v), ctx.rng)
+            yield self._emit_block(ctx, v, result)
 
     def _computation_blocks_bitsliced(self, ctx: _RunContext) -> Iterator[LinkBytes]:
         """The bit-sliced computation step: offline, online, then emit.
@@ -618,25 +529,20 @@ class SecureEngine:
         scalar path's.
         """
         gmw = ctx.gmw
-        meter = ctx.meter
 
         with timed_phase(ctx.phases, "gmw-offline"):
             builders: Dict[int, object] = {}
             batch_inputs: Dict[int, List[Dict[str, List[int]]]] = {}
             batch_vertices: Dict[int, List[int]] = {}
-            for view in ctx.graph.vertices():
-                v = view.vertex_id
+            for v in ctx.graph.vertex_ids:
                 bound = ctx.vertex_bound[v]
                 builder = builders.get(bound)
                 if builder is None:
                     builder = builders[bound] = gmw.pool_builder(ctx.circuits[bound])
                     batch_inputs[bound] = []
                     batch_vertices[bound] = []
-                shared_inputs = dict(ctx.state_shares[v])
-                for slot in range(bound):
-                    shared_inputs[f"msg_in_{slot}"] = ctx.inbox_shares[v][slot]
                 builder.add_instance(ctx.rng)
-                batch_inputs[bound].append(shared_inputs)
+                batch_inputs[bound].append(self._block_inputs(ctx, v))
                 batch_vertices[bound].append(v)
 
         with timed_phase(ctx.phases, "gmw-online"):
@@ -647,22 +553,33 @@ class SecureEngine:
                 )
                 results.update(zip(batch_vertices[bound], batch))
 
-        for view in ctx.graph.vertices():
-            v = view.vertex_id
-            bound = ctx.vertex_bound[v]
-            registers = self.program.state_registers(bound)
-            result = results[v]
-            ctx.state_shares[v] = {reg: result.output_shares[reg] for reg in registers}
-            ctx.outbox_shares[v] = [
-                result.output_shares[f"msg_out_{slot}"] for slot in range(bound)
-            ]
-            members = ctx.assignment.blocks[v]
-            link_bytes = self._meter_gmw(meter, members, result)
-            per_member_ots = result.traffic.ot_count // max(1, len(members))
-            for member in members:
-                meter.node(member).ot_transfers += per_member_ots
-            ctx.total_ots += result.traffic.ot_count
-            yield link_bytes
+        for v in ctx.graph.vertex_ids:
+            yield self._emit_block(ctx, v, results[v])
+
+    def _block_inputs(self, ctx: _RunContext, v: int) -> Dict[str, List[int]]:
+        """Vertex ``v``'s update-circuit inputs: its state and inbox shares."""
+        shared_inputs = dict(ctx.state_shares[v])
+        for slot in range(ctx.vertex_bound[v]):
+            shared_inputs[f"msg_in_{slot}"] = ctx.inbox_shares[v][slot]
+        return shared_inputs
+
+    def _emit_block(self, ctx: _RunContext, v: int, result) -> LinkBytes:
+        """Store vertex ``v``'s GMW outputs as its new state and outbox
+        shares, meter the block's traffic, and return it as per-link bytes."""
+        bound = ctx.vertex_bound[v]
+        ctx.state_shares[v] = {
+            reg: result.output_shares[reg] for reg in self.program.state_registers(bound)
+        }
+        ctx.outbox_shares[v] = [
+            result.output_shares[f"msg_out_{slot}"] for slot in range(bound)
+        ]
+        members = ctx.assignment.blocks[v]
+        link_bytes = self._meter_gmw(ctx.meter, members, result)
+        per_member_ots = result.traffic.ot_count // max(1, len(members))
+        for member in members:
+            ctx.meter.node(member).ot_transfers += per_member_ots
+        ctx.total_ots += result.traffic.ot_count
+        return link_bytes
 
     def _communication_transfers(self, ctx: _RunContext) -> Iterator[LinkBytes]:
         """One §3.6 communication step, transfer by transfer.
@@ -787,19 +704,6 @@ class SecureEngine:
         return link_bytes
 
     # -------------------------------------------------------- aggregation --
-
-    def _aggregate_and_noise(
-        self, ctx: _RunContext, epsilon: Optional[float] = None
-    ) -> Tuple[int, int, int]:
-        """§3.6 aggregation + noising over a (possibly hierarchical) tree.
-
-        ``epsilon`` overrides the config's ``output_epsilon`` for one
-        release (windowed continual release noises each window at its
-        per-window budget); the default keeps the one-shot calibration.
-        """
-        root_inputs, root_width, levels, pre_noise_raw = self._aggregation_tree(ctx)
-        noised_raw = self._noise_and_reveal(ctx, root_inputs, root_width, epsilon)
-        return noised_raw, pre_noise_raw, levels
 
     def _aggregation_tree(
         self, ctx: _RunContext

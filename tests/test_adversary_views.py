@@ -14,8 +14,8 @@ tests check the *observable structure* that those guarantees rest on:
 
 import pytest
 
+from repro.api import get_engine
 from repro.core.config import DStressConfig
-from repro.core.secure_engine import SecureEngine
 from repro.core.setup import TrustedParty
 from repro.crypto.elgamal import ExponentialElGamal
 from repro.crypto.group import TOY_GROUP_64
@@ -70,8 +70,10 @@ class TestValuePrivacy:
         results = []
         for cash in ([2.0, 1.0, 1.0, 0.5], [50.0, 40.0, 30.0, 20.0]):
             graph = _chain_network(cash).to_en_graph(degree_bound=1)
-            engine = SecureEngine(EisenbergNoeProgram(FMT), _config())
-            results.append(engine.run(graph, iterations=2))
+            run = get_engine("secure").execute(
+                EisenbergNoeProgram(FMT), graph, 2, _config()
+            )
+            results.append(run.raw)
         a, b = results
         for node in a.traffic.node_ids:
             assert a.traffic.node(node).bytes_sent == b.traffic.node(node).bytes_sent
@@ -175,11 +177,13 @@ class TestOutputPrivacy:
         for seed in range(6):
             for cash0 in releases:
                 graph = _chain_network([cash0, 1.0, 1.0, 0.5]).to_en_graph(1)
-                engine = SecureEngine(
-                    EisenbergNoeProgram(FMT), _config(seed=seed, output_epsilon=0.3)
+                result = get_engine("secure").execute(
+                    EisenbergNoeProgram(FMT),
+                    graph,
+                    2,
+                    _config(seed=seed, output_epsilon=0.3),
                 )
-                result = engine.run(graph, iterations=2)
-                releases[cash0].append(result.noisy_output)
+                releases[cash0].append(result.aggregate)
         exact_gap = 0.5  # pre-noise outputs differ by the cash shift
         spread = max(releases[2.0]) - min(releases[2.0])
         # Noise scale is sensitivity/eps = 33 units >> 0.5-unit signal.

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from conftest import scale
 
+from repro.api import get_engine
 from repro.core.config import DStressConfig
 from repro.core.engine import PlaintextEngine
-from repro.core.secure_engine import SecureEngine
 from repro.crypto.group import TOY_GROUP_64
 from repro.crypto.rng import DeterministicRNG
 from repro.finance import (
@@ -86,9 +86,9 @@ class TestSecureEngineProperty:
             output_epsilon=0.5,
             seed=seed,
         )
-        result = SecureEngine(program, config).run(graph, iterations=2)
+        result = get_engine("secure").execute(program, graph, 2, config)
         oracle = PlaintextEngine(program).run_fixed(graph, iterations=2)
-        assert result.pre_noise_output == pytest.approx(oracle.aggregate, abs=1e-12)
+        assert result.pre_noise_aggregate == pytest.approx(oracle.aggregate, abs=1e-12)
 
 
 class TestEconomicInvariants:

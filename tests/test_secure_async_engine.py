@@ -16,12 +16,18 @@ The contract under test, in order of importance:
   :class:`TransportError` at the step barrier instead of hanging the run.
 """
 
+import gc
+import logging
+
 import pytest
 
 from repro import StressTest
+from repro.api import secure_async
 from repro.api.registry import get_engine
+from repro.core.rounds import SecureRoundScheduler
 from repro.core.transport import FaultInjectingTransport, SimulatedWanTransport
 from repro.exceptions import ConfigurationError, TransportError
+from repro.obs.trace import TraceRecorder, recording
 from repro.finance import Bank, FinancialNetwork
 from repro.simulation.netsim import project_wan_seconds
 
@@ -170,6 +176,34 @@ class TestFaultInjection:
         )
         with pytest.raises(TransportError, match=r"round 0: ot delivery .* was dropped"):
             session.run(iterations=1)
+
+    def test_fault_closes_the_traced_schedule(self, network, monkeypatch, caplog):
+        """A fault mid-step ends every open round span at once, leaves no
+        delivery in flight, and logs no orphaned task exception."""
+        schedulers = []
+
+        class TrackedScheduler(SecureRoundScheduler):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                schedulers.append(self)
+
+        monkeypatch.setattr(secure_async, "SecureRoundScheduler", TrackedScheduler)
+        bus = FaultInjectingTransport(drop=self._all_pairs(0))
+        session = _template(network).engine("secure-async", tasks=4, transport=bus)
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with recording(TraceRecorder()) as recorder:
+                # the held traceback keeps the failed schedule's frames
+                # alive, so only an explicit close can have ended its spans
+                with pytest.raises(TransportError, match="dropped") as fault:
+                    session.run(iterations=ITERATIONS)
+                rounds = [span for span in recorder.spans if span.name == "round"]
+                assert rounds
+                assert all(span.end is not None for span in rounds)
+            gc.collect()
+        assert schedulers
+        assert all(not scheduler._pending for scheduler in schedulers)
+        assert "never retrieved" not in caplog.text
+        del fault
 
     def test_chaos_batch_outcome_names_the_scenario(self, network):
         """Through the batch layer the fault surfaces as a scenario-named

@@ -14,6 +14,7 @@ import math
 
 import pytest
 
+from repro.api import get_engine
 from repro.core.config import DStressConfig
 from repro.core.engine import PlaintextEngine
 from repro.core.secure_engine import SecureEngine
@@ -38,6 +39,11 @@ def make_config(**overrides):
     return DStressConfig(**defaults)
 
 
+def secure_run(program, graph, iterations, config, accountant=None):
+    """One run of the full protocol through the ``secure`` engine."""
+    return get_engine("secure").execute(program, graph, iterations, config, accountant)
+
+
 @pytest.fixture(scope="module")
 def en_run(request):
     """One shared EN secure run (expensive: full MPC per vertex step)."""
@@ -57,7 +63,7 @@ def en_run(request):
     program = EisenbergNoeProgram(fmt)
     graph = net.to_en_graph(degree_bound=2)
     config = make_config()
-    result = SecureEngine(program, config).run(graph, iterations=4)
+    result = secure_run(program, graph, 4, config)
     oracle = PlaintextEngine(program).run_fixed(graph, iterations=4)
     return result, oracle, graph, config
 
@@ -65,13 +71,13 @@ def en_run(request):
 class TestCorrectness:
     def test_pre_noise_output_matches_oracle(self, en_run):
         result, oracle, _, _ = en_run
-        assert result.pre_noise_output == pytest.approx(oracle.aggregate, abs=1e-12)
+        assert result.pre_noise_aggregate == pytest.approx(oracle.aggregate, abs=1e-12)
 
     def test_noisy_output_is_pre_noise_plus_noise(self, en_run):
         result, _, _, _ = en_run
         fmt = FixedPointFormat(16, 8)
-        assert result.noisy_output == pytest.approx(
-            result.pre_noise_output + result.noise_raw * fmt.resolution, abs=1e-12
+        assert result.aggregate == pytest.approx(
+            result.pre_noise_aggregate + result.noise_raw * fmt.resolution, abs=1e-12
         )
 
     def test_egj_secure_matches_oracle(self, small_egj_network):
@@ -79,29 +85,29 @@ class TestCorrectness:
         program = ElliottGolubJacksonProgram(fmt)
         graph = small_egj_network.to_egj_graph(degree_bound=2)
         config = make_config()
-        result = SecureEngine(program, config).run(graph, iterations=3)
+        result = secure_run(program, graph, 3, config)
         oracle = PlaintextEngine(program).run_fixed(graph, iterations=3)
-        assert result.pre_noise_output == pytest.approx(oracle.aggregate, abs=1e-12)
+        assert result.pre_noise_aggregate == pytest.approx(oracle.aggregate, abs=1e-12)
 
     def test_transfer_count_is_edges_times_iterations(self, en_run):
         result, _, graph, _ = en_run
-        assert result.transfer_count == graph.num_edges * result.iterations
+        assert result.raw.transfer_count == graph.num_edges * result.iterations
 
     def test_deterministic_given_seed(self, small_egj_network):
         fmt = FixedPointFormat(16, 8)
         program = ElliottGolubJacksonProgram(fmt)
         graph = small_egj_network.to_egj_graph(degree_bound=2)
-        a = SecureEngine(program, make_config(seed=3)).run(graph, iterations=2)
-        b = SecureEngine(program, make_config(seed=3)).run(graph, iterations=2)
-        assert a.noisy_output == b.noisy_output
+        a = secure_run(program, graph, 2, make_config(seed=3))
+        b = secure_run(program, graph, 2, make_config(seed=3))
+        assert a.aggregate == b.aggregate
 
     def test_different_seeds_different_noise(self, small_egj_network):
         fmt = FixedPointFormat(16, 8)
         program = ElliottGolubJacksonProgram(fmt)
         graph = small_egj_network.to_egj_graph(degree_bound=2)
-        a = SecureEngine(program, make_config(seed=1)).run(graph, iterations=2)
-        b = SecureEngine(program, make_config(seed=2)).run(graph, iterations=2)
-        assert a.pre_noise_output == b.pre_noise_output
+        a = secure_run(program, graph, 2, make_config(seed=1))
+        b = secure_run(program, graph, 2, make_config(seed=2))
+        assert a.pre_noise_aggregate == b.pre_noise_aggregate
         assert a.noise_raw != b.noise_raw
 
 
@@ -119,7 +125,7 @@ class TestPrivacyStructure:
         program = ElliottGolubJacksonProgram(fmt)
         graph = small_egj_network.to_egj_graph(degree_bound=2)
         accountant = PrivacyAccountant(epsilon_max=1.0)
-        SecureEngine(program, make_config()).run(graph, iterations=1, accountant=accountant)
+        secure_run(program, graph, 1, make_config(), accountant)
         assert accountant.spent == pytest.approx(0.5)
 
     def test_budget_exhaustion_blocks_run(self, small_egj_network):
@@ -127,17 +133,16 @@ class TestPrivacyStructure:
         program = ElliottGolubJacksonProgram(fmt)
         graph = small_egj_network.to_egj_graph(degree_bound=2)
         accountant = PrivacyAccountant(epsilon_max=0.6)
-        engine = SecureEngine(program, make_config())
-        engine.run(graph, iterations=1, accountant=accountant)
+        secure_run(program, graph, 1, make_config(), accountant)
         with pytest.raises(PrivacyBudgetExceeded):
-            engine.run(graph, iterations=1, accountant=accountant)
+            secure_run(program, graph, 1, make_config(), accountant)
 
     def test_edge_epsilon_reported(self, en_run):
         result, _, _, config = en_run
         delta = config.collusion_bound + 1
         eps_transfer = -math.log(config.edge_noise_alpha) * delta / 2
         expected = config.collusion_bound * delta * config.fmt.total_bits * eps_transfer
-        assert result.edge_epsilon_per_iteration == pytest.approx(expected)
+        assert result.raw.edge_epsilon_per_iteration == pytest.approx(expected)
 
     def test_traffic_metered_for_all_nodes(self, en_run):
         result, _, graph, _ = en_run
@@ -187,11 +192,9 @@ class TestBeaverMode:
         fmt = FixedPointFormat(16, 8)
         program = ElliottGolubJacksonProgram(fmt)
         graph = small_egj_network.to_egj_graph(degree_bound=2)
-        ot_run = SecureEngine(program, make_config(seed=9)).run(graph, iterations=2)
-        beaver_run = SecureEngine(program, make_config(seed=9, gmw_mode="beaver")).run(
-            graph, iterations=2
-        )
-        assert ot_run.pre_noise_output == beaver_run.pre_noise_output
+        ot_run = secure_run(program, graph, 2, make_config(seed=9))
+        beaver_run = secure_run(program, graph, 2, make_config(seed=9, gmw_mode="beaver"))
+        assert ot_run.pre_noise_aggregate == beaver_run.pre_noise_aggregate
 
 
 class TestHierarchicalAggregation:
@@ -199,15 +202,11 @@ class TestHierarchicalAggregation:
         fmt = FixedPointFormat(16, 8)
         program = EisenbergNoeProgram(fmt)
         graph = small_en_network.to_en_graph(degree_bound=2)
-        flat = SecureEngine(program, make_config(aggregation_fanout=100)).run(
-            graph, iterations=1
-        )
-        tree = SecureEngine(program, make_config(aggregation_fanout=2)).run(
-            graph, iterations=1
-        )
-        assert flat.aggregation_levels == 1
-        assert tree.aggregation_levels == 2
-        assert flat.pre_noise_output == tree.pre_noise_output
+        flat = secure_run(program, graph, 1, make_config(aggregation_fanout=100))
+        tree = secure_run(program, graph, 1, make_config(aggregation_fanout=2))
+        assert flat.raw.aggregation_levels == 1
+        assert tree.raw.aggregation_levels == 2
+        assert flat.pre_noise_aggregate == tree.pre_noise_aggregate
 
 
 class TestPaddedTransfers:
@@ -217,9 +216,7 @@ class TestPaddedTransfers:
         fmt = FixedPointFormat(16, 8)
         program = EisenbergNoeProgram(fmt)
         graph = small_en_network.to_en_graph(degree_bound=3)  # degrees < 3
-        result = SecureEngine(program, make_config(pad_transfers=True)).run(
-            graph, iterations=1
-        )
-        assert result.transfer_count == graph.num_vertices * 3
+        result = secure_run(program, graph, 1, make_config(pad_transfers=True))
+        assert result.raw.transfer_count == graph.num_vertices * 3
         oracle = PlaintextEngine(program).run_fixed(graph, iterations=1)
-        assert result.pre_noise_output == pytest.approx(oracle.aggregate, abs=1e-12)
+        assert result.pre_noise_aggregate == pytest.approx(oracle.aggregate, abs=1e-12)
